@@ -6,7 +6,7 @@ shaped like the repo's domains — the event *mix* of each domain, with
 the domain logic stripped out so the kernel itself is what's measured:
 
 - ``scheduling``: machine worker loops chewing through task-length
-  sequences (pure-timeout shape — eligible for the ticker fast path);
+  sequences (pure-timeout shape);
 - ``p2p``: peer gossip rounds with churn (pure-timeout shape with
   process spawn/retire churn);
 - ``serverless``: invocation processes contending on a container pool
@@ -28,9 +28,9 @@ machine) so the CI perf ratchet can compare normalized throughput
     PYTHONPATH=src python benchmarks/bench_kernel.py --quick    # CI smoke
     python tools/perf_ratchet.py check                          # ratchet
 
-The ``baseline`` block in the JSON records the pre-rearchitecture
-kernel (commit 0042be9, process-based API only) measured on the same
-workloads — the denominator of the PR's ≥5× acceptance criterion.
+The ``baseline`` block in the JSON records an earlier kernel (named by
+its ``kernel`` label) measured on the same workloads, so
+``speedup_vs_baseline`` shows what the current kernel gained or lost.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ RESULTS_PATH = (Path(__file__).resolve().parent / "results"
 
 #: Bump when workload shapes or sizes change (invalidates the baseline
 #: block and the perf floor).
-BENCH_REVISION = 1
+BENCH_REVISION = 2
 
 
 def _lcg(seed: int):
@@ -81,9 +81,7 @@ def workload_scheduling(scale: float = 1.0) -> Environment:
     executes its task queue as a sequence of jittered busy intervals
     (the cluster scheduler's ``_execute`` loops) and emits fixed-period
     liveness heartbeats in renewal leases (the monitor/autoscaler poll
-    shape). Jittered intervals advance their delay iterator every
-    event; fixed-period leases are eligible for batched tick
-    scheduling."""
+    shape)."""
     env = Environment()
     # Fleet sized ~4x the golden scheduling scenario (4 machines): heap
     # depth is the dominant per-event cost, so the bench pins it at the
@@ -104,28 +102,18 @@ def workload_scheduling(scale: float = 1.0) -> Environment:
         # pattern no real monitor produces.
         return 0.9 + 0.2 * m / n_machines
 
-    ticker = getattr(env, "ticker", None)
-    if ticker is not None:
-        def heartbeat(period):
-            for _ in range(leases):
-                yield (period, lease_beats)
-        for m in range(n_machines):
-            # The task queue's durations are known at assignment, so
-            # the worker loop is a plain delay iterator.
-            ticker(iter(machine_delays(m)))
-            ticker(heartbeat(beat_period(m)))
-    else:
-        def work(env, delays):
-            for d in delays:
-                yield env.timeout(d)
+    def work(env, delays):
+        for d in delays:
+            yield env.timeout(d)
 
-        def heartbeat(env, period):
-            for _ in range(leases):
-                for _ in range(lease_beats):
-                    yield env.timeout(period)
-        for m in range(n_machines):
-            env.process(work(env, machine_delays(m)))
-            env.process(heartbeat(env, beat_period(m)))
+    def heartbeat(env, period):
+        for _ in range(leases):
+            for _ in range(lease_beats):
+                yield env.timeout(period)
+
+    for m in range(n_machines):
+        env.process(work(env, machine_delays(m)))
+        env.process(heartbeat(env, beat_period(m)))
     return env
 
 
@@ -133,17 +121,14 @@ def workload_p2p(scale: float = 1.0) -> Environment:
     """Peer gossip rounds with churn: most peers gossip at a fixed
     per-peer round period for a whole session (the swarm model drives
     rounds with a fixed ``round_s`` — see ``repro.p2p.swarm`` — so this
-    is the domain's dominant shape, eligible for batched tick
-    scheduling), one in eight runs jittered anti-entropy rounds
-    (per-round generator resume), and every peer retires after its
+    is the domain's dominant shape), one in eight runs jittered
+    anti-entropy rounds, and every peer retires after its
     session, spawning a replacement generation."""
     env = Environment()
     # Swarm sized ~1.5x the golden p2p scenario's peak (~15 live peers).
     n_peers = max(2, int(24 * scale))
     rounds_per_session = max(5, int(320 * scale))
     generations = 5
-
-    ticker = getattr(env, "ticker", None)
 
     def round_period(p, gen):
         rng = _lcg(1000 * gen + p)
@@ -152,30 +137,19 @@ def workload_p2p(scale: float = 1.0) -> Environment:
     def jittered_delays(p, gen):
         return _delay_sequence(1000 * gen + p, rounds_per_session, 5.0, 15.0)
 
-    if ticker is not None:
-        def peer(p, gen):
-            if p % 8:
-                yield (round_period(p, gen), rounds_per_session)
-            else:
-                for d in jittered_delays(p, gen):
-                    yield d
-            if gen + 1 < generations:
-                ticker(peer(p, gen + 1))
-        for p in range(n_peers):
-            ticker(peer(p, 0))
-    else:
-        def peer(env, p, gen):
-            if p % 8:
-                period = round_period(p, gen)
-                for _ in range(rounds_per_session):
-                    yield env.timeout(period)
-            else:
-                for d in jittered_delays(p, gen):
-                    yield env.timeout(d)
-            if gen + 1 < generations:
-                env.process(peer(env, p, gen + 1))
-        for p in range(n_peers):
-            env.process(peer(env, p, 0))
+    def peer(env, p, gen):
+        if p % 8:
+            period = round_period(p, gen)
+            for _ in range(rounds_per_session):
+                yield env.timeout(period)
+        else:
+            for d in jittered_delays(p, gen):
+                yield env.timeout(d)
+        if gen + 1 < generations:
+            env.process(peer(env, p, gen + 1))
+
+    for p in range(n_peers):
+        env.process(peer(env, p, 0))
     return env
 
 
@@ -315,7 +289,7 @@ def main(argv=None) -> int:
     parser.add_argument("--as-baseline", metavar="LABEL",
                         help=f"record this run as the baseline block of "
                              f"{RESULTS_PATH.name} (run with PYTHONPATH "
-                             "pointing at the pre-rearchitecture kernel; "
+                             "pointing at the earlier kernel; "
                              "LABEL names the kernel, e.g. a commit hash)")
     args = parser.parse_args(argv)
 

@@ -1012,8 +1012,9 @@ def run_failover_scenario(seed: int = 0,
         env.run(until=sim._scheduler)
         # The books usually close before the heal; play the epilogue out
         # so the deposed leader is fenced, deposed, and re-adopted as a
-        # standby.
-        env.run(until=max(env.now, oneway_heal_s + 10.0))
+        # standby. A long workload may already have run past it.
+        if env.now < oneway_heal_s + 10.0:
+            env.run(until=oneway_heal_s + 10.0)
         env.run(until=env.now + 10.0)
     else:
         # Campaign mode: a hard sim-time ceiling — random schedules must

@@ -11,8 +11,6 @@ Public surface:
 - :class:`Environment` — the simulation clock and event loop.
 - :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`AllOf`,
   :class:`AnyOf` — the event types processes wait on.
-- :class:`Ticker` — a pure-delay process on the kernel's timeout fast
-  path (yields raw delays or ``(period, n)`` batches instead of events).
 - :class:`Interrupt` — exception thrown into interrupted processes.
 - :class:`Resource`, :class:`PriorityResource`, :class:`PreemptiveResource`
   — capacity-limited resources with FIFO / priority / preemptive queueing.
@@ -49,7 +47,6 @@ from repro.sim.events import (
     Event,
     Interrupt,
     Process,
-    Ticker,
     Timeout,
 )
 from repro.sim.environment import (
@@ -101,7 +98,6 @@ __all__ = [
     "StopSimulation",
     "Store",
     "TIME_EPSILON",
-    "Ticker",
     "TimeSeries",
     "Timeout",
     "summarize",

@@ -14,36 +14,19 @@ current by every hook mutator (``add_tracer``/``remove_tracer``, the
 installing a tracer mid-run takes effect on the next dispatch and
 removing the last one restores the zero-overhead loop.
 
-Queue entries are mutable lists ``[time, priority, eid, obj, remaining,
-period]`` rather than tuples so the ticker fast path (see
-:class:`repro.sim.Ticker`) can reschedule by mutating the root entry in
-place and re-sifting once (``heapreplace``) instead of allocating and
-doing a pop + push. The last two cells are ticker batch state; they are
-zero on every other entry, which lets the run loop recognize a mid-batch
-tick — the highest-volume dispatch — from ``entry[4]`` alone, without
-loading the payload object or checking its class. Entries never compare
-beyond the eid cell (eids are unique), so the trailing cells don't
-affect heap order.
+Queue entries are ``(time, priority, eid, event)`` tuples. Eids are
+unique, so entries never compare beyond the eid and the heap order is
+exactly (time, priority, insertion order).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Callable, Generator, Iterable, Optional, Union
+from typing import Any, Callable, Generator, Optional, Union
 
-from repro.sim.events import (
-    _NORMAL,
-    _URGENT,
-    Event,
-    Process,
-    Ticker,
-    Timeout,
-    _reschedule_ticker,
-    _resume_ticker,
-    _retire_entry,
-)
+from repro.sim.events import _NORMAL, Event, Process, Timeout
 
 #: Default epsilon for :func:`time_eq`: generous for second-scale sim time,
 #: tight enough to distinguish distinct scheduled instants.
@@ -98,7 +81,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0, debug: bool = False):
         self._now = float(initial_time)
-        self._queue: list[list] = []
+        self._queue: list[tuple] = []
         self._eid = count()
         self._active_process: Optional[Process] = None
         #: Debug mode: assert kernel invariants (clock monotonicity,
@@ -243,61 +226,9 @@ class Environment:
         """An event that fires ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
-    def timeout_batch(self, delays: Iterable[float],
-                      value: Any = None) -> list[Timeout]:
-        """Schedule one timeout per delay in a single batched heap build.
-
-        Dispatch order is identical to ``[self.timeout(d) for d in
-        delays]`` — eids are allocated in iteration order and the heap
-        pop sequence depends only on ``(time, priority, eid)`` — but
-        when the batch rivals the queue in size the entries are appended
-        and heapified once (O(n + q)) instead of sifted one by one
-        (O(n log q)). Useful for pre-loading arrival/retry schedules.
-        """
-        queue = self._queue
-        now = self._now
-        eid = self._eid
-        raw = Timeout._raw
-        events: list[Timeout] = []
-        entries: list[list] = []
-        for delay in delays:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            event = raw(self, delay, value)
-            events.append(event)
-            entries.append([now + delay, _NORMAL, next(eid), event, 0, 0.0])
-        if entries:
-            if 4 * len(entries) >= len(queue):
-                queue.extend(entries)
-                heapify(queue)
-            else:
-                for entry in entries:
-                    heappush(queue, entry)
-            hook = self._schedule_hook
-            if hook is not None:
-                for event in events:
-                    hook(event)
-        return events
-
     def process(self, generator: Generator) -> Process:
         """Start a new process from a generator function's generator."""
         return Process(self, generator)
-
-    def ticker(self, generator: Union[Generator, Iterable]) -> Ticker:
-        """Start a pure-delay process on the timeout fast path.
-
-        ``generator`` — a generator, or any iterator such as a
-        precomputed delay list wrapped in ``iter()`` — yields raw
-        delays: ``yield d`` for one tick, ``yield (period, n)`` for a
-        batch of ``n`` fixed-period ticks — instead of events (see
-        :class:`repro.sim.Ticker`). The body starts urgently at the
-        current time, like ``process``.
-        """
-        ticker = Ticker(self, generator)
-        entry = [self._now, _URGENT, next(self._eid), ticker, 0, 0.0]
-        ticker._entry = entry
-        heappush(self._queue, entry)
-        return ticker
 
     def all_of(self, events) -> "Event":
         from repro.sim.events import AllOf
@@ -314,7 +245,7 @@ class Environment:
             raise DebugViolation(
                 f"scheduling {event!r} with negative delay {delay}")
         heappush(self._queue,
-                 [self._now + delay, priority, next(self._eid), event, 0, 0.0])
+                 (self._now + delay, priority, next(self._eid), event))
         hook = self._schedule_hook
         if hook is not None:
             hook(event)
@@ -335,35 +266,20 @@ class Environment:
         queue = self._queue
         if not queue:
             raise EmptySchedule()
-        entry = queue[0]
-        t = entry[0]
-        obj = entry[3]
+        t, _, eid, event = queue[0]
         if self._debug and t < self._now:
             raise DebugViolation(
                 f"clock would move backwards: {self._now} -> {t} "
-                f"dispatching {obj!r}")
+                f"dispatching {event!r}")
+        heappop(queue)
         self._now = t
         self.dispatch_count += 1
         profiler = self._profiler
         tracers = self._tracers
         if tracers or profiler is not None:
-            kind = obj._kind
+            kind = event._kind
             for tracer in tracers:
-                tracer(t, entry[2], kind)
-        if obj.__class__ is Ticker:
-            # A tick: advance the ticker in place; no callbacks run
-            # (the generator body is the "callback").
-            self._current_event = obj
-            if profiler is None:
-                self._advance_ticker(queue, entry, obj, t)
-            else:
-                t0 = profiler.clock()
-                self._advance_ticker(queue, entry, obj, t)
-                profiler.account_dispatch(kind, profiler.clock() - t0)
-            self._current_event = None
-            return
-        heappop(queue)
-        event = obj
+                tracer(t, eid, kind)
         self._current_event = event
         callbacks = event.callbacks
         event.callbacks = None
@@ -381,20 +297,6 @@ class Environment:
         if not event._ok and not event._defused:
             # An unhandled failure: surface it rather than losing it.
             raise event._value
-
-    @staticmethod
-    def _advance_ticker(queue: list, entry: list, ticker: Ticker,
-                        t: float) -> None:
-        """Dispatch one tick of the ticker whose entry is ``queue[0]``."""
-        remaining = entry[4]
-        if remaining:
-            # Mid-batch: reschedule by mutating the root in place — one
-            # sift, no allocation, no generator resume.
-            entry[4] = remaining - 1
-            entry[0] = t + entry[5]
-            heapreplace(queue, entry)
-        else:
-            _resume_ticker(queue, entry, ticker, t)
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
@@ -424,174 +326,39 @@ class Environment:
                     f"until ({stop_at}) must be greater than now ({self._now})")
             stop_event = None
 
-        # Hot loops: everything touched per dispatch is pre-bound to a
-        # local; ``queue[0][0]`` is ``peek()`` without the attribute
-        # walk. Each tier runs its own inner loop and transitions happen
-        # only where they can: hooks are installed/removed exclusively
-        # by user code, and no user code runs on a mid-batch tick, so
-        # the fast loops re-read ``live[0]`` only after a generator
-        # resume or an event's callbacks — a tracer installed by a
-        # callback mid-run still flips the very next dispatch onto the
-        # instrumented tier, without the highest-volume dispatch paying
-        # a per-tick flag check. The fast tier additionally exists in
-        # two copies — unbounded and ``until``-bounded — because the
-        # time-bound compare is measurable at tick rate and both
-        # ``run()`` and ``run(until=event)`` take the unbounded one
-        # (an until-event stops via StopSimulation, not the clock).
-        # Keep the three inner loops in sync.
+        # The hot loop: everything touched per dispatch is pre-bound to a
+        # local. ``live[0]`` is re-read before every dispatch, so a hook
+        # installed or removed by a callback switches tiers on the very
+        # next event. Unbounded runs use ``stop_at = inf``, which no
+        # event time reaches (an until-event stops via StopSimulation).
         queue = self._queue
         live = self._live
         step = self.step
-        ticker_cls = Ticker
-        resched = _reschedule_ticker
-        retire = _retire_entry
-        replace = heapreplace
-        push = heappush
         pop = heappop
-        normal = _NORMAL
         dispatches = 0
-        t = self._now
-        halted = False
         try:
-            while queue and not halted:
+            while queue:
+                t = queue[0][0]
+                if t >= stop_at:
+                    break
                 if live[0]:
-                    # -- instrumented tier: every dispatch via step().
-                    while queue:
-                        t = queue[0][0]
-                        if t >= stop_at:
-                            halted = True
-                            break
-                        step()
-                        if not live[0]:
-                            break
-                elif stop_at == float("inf"):
-                    # -- fast tier, unbounded. ``while True``: a
-                    # mid-batch tick never changes the queue size, so
-                    # emptiness is re-checked only after dispatches
-                    # that can pop (the user-code exits below).
-                    while True:
-                        entry = queue[0]
-                        dispatches += 1
-                        remaining = entry[4]
-                        if remaining:
-                            # Mid-batch tick: only a ticker entry has a
-                            # nonzero batch count, so no payload load or
-                            # class check is needed. No user code runs,
-                            # so the clock store is deferred (every
-                            # branch that reaches user code — and the
-                            # run exit paths, which can only follow one
-                            # — publish ``t`` before anything can
-                            # observe ``now``).
-                            entry[4] = remaining - 1
-                            entry[0] = entry[0] + entry[5]
-                            replace(queue, entry)
-                            continue
-                        t = entry[0]
-                        obj = entry[3]
-                        if obj.__class__ is ticker_cls:
-                            # Resume point: inline the common case (the
-                            # generator yields a non-negative float) —
-                            # at tick rate the ``_resume_ticker`` call
-                            # itself is measurable. Batches, int delays,
-                            # invalid yields, and termination funnel to
-                            # the shared helpers, so behavior is
-                            # identical to the step() tier.
-                            self._now = t
-                            try:
-                                d = obj._generator.__next__()
-                            except StopIteration as stop:
-                                retire(queue, entry)
-                                obj._finish(stop.value)
-                            except BaseException as err:
-                                retire(queue, entry)
-                                obj._crash(err)
-                            else:
-                                if d.__class__ is float and d >= 0.0:
-                                    entry[0] = t + d
-                                    entry[1] = normal
-                                    if queue[0] is entry:
-                                        replace(queue, entry)
-                                    else:
-                                        # Displaced mid-resume by some-
-                                        # thing the generator scheduled
-                                        # (rare).
-                                        retire(queue, entry)
-                                        push(queue, entry)
-                                else:
-                                    resched(queue, entry, obj, t, d)
-                            if live[0] or not queue:
-                                break
-                            continue
-                        self._now = t
-                        pop(queue)
-                        callbacks = obj.callbacks
-                        obj.callbacks = None
-                        for callback in callbacks:
-                            callback(obj)
-                        if not obj._ok and not obj._defused:
-                            raise obj._value
-                        if live[0] or not queue:
-                            break
-                else:
-                    # -- fast tier, bounded: identical plus the time
-                    # bound.
-                    while True:
-                        entry = queue[0]
-                        t = entry[0]
-                        if t >= stop_at:
-                            halted = True
-                            break
-                        dispatches += 1
-                        remaining = entry[4]
-                        if remaining:
-                            entry[4] = remaining - 1
-                            entry[0] = t + entry[5]
-                            replace(queue, entry)
-                            continue
-                        obj = entry[3]
-                        if obj.__class__ is ticker_cls:
-                            self._now = t
-                            try:
-                                d = obj._generator.__next__()
-                            except StopIteration as stop:
-                                retire(queue, entry)
-                                obj._finish(stop.value)
-                            except BaseException as err:
-                                retire(queue, entry)
-                                obj._crash(err)
-                            else:
-                                if d.__class__ is float and d >= 0.0:
-                                    entry[0] = t + d
-                                    entry[1] = normal
-                                    if queue[0] is entry:
-                                        replace(queue, entry)
-                                    else:
-                                        retire(queue, entry)
-                                        push(queue, entry)
-                                else:
-                                    resched(queue, entry, obj, t, d)
-                            if live[0] or not queue:
-                                break
-                            continue
-                        self._now = t
-                        pop(queue)
-                        callbacks = obj.callbacks
-                        obj.callbacks = None
-                        for callback in callbacks:
-                            callback(obj)
-                        if not obj._ok and not obj._defused:
-                            raise obj._value
-                        if live[0] or not queue:
-                            break
+                    step()
+                    continue
+                dispatches += 1
+                self._now = t
+                event = pop(queue)[3]
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
         except StopSimulation as stop:
             event = stop.args[0]
             if event._ok:
                 return event._value
             raise event._value
         finally:
-            # ``t`` is the time of the last dispatched (or, on a
-            # stop_at break, peeked — corrected right below) entry.
-            self._now = t
             self.dispatch_count += dispatches
         if stop_event is not None:
             raise RuntimeError(

@@ -9,7 +9,6 @@ when their generator ends, so processes can wait on each other.
 from __future__ import annotations
 
 import sys
-from heapq import heapify, heappop, heappush, heapreplace
 from typing import Any, Callable, Generator, Iterable, Optional
 
 #: Sentinel for "no value yet"; distinguishes an untriggered event from one
@@ -138,18 +137,6 @@ class Timeout(Event):
         self._defused = False
         self._delay = delay
         env._schedule(self, _NORMAL, delay)
-
-    @classmethod
-    def _raw(cls, env: "Environment", delay: float, value: Any) -> "Timeout":  # noqa: F821
-        """Construct without scheduling — the batch API schedules en masse."""
-        timeout = cls.__new__(cls)
-        timeout.env = env
-        timeout.callbacks = []
-        timeout._value = value
-        timeout._ok = True
-        timeout._defused = False
-        timeout._delay = delay
-        return timeout
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self._delay}>"
@@ -341,151 +328,3 @@ class AnyOf(Condition):
             self.fail(event._value)
             return
         self.succeed(self._collect())
-
-
-class Ticker:
-    """A pure-delay process on the kernel's timeout fast path.
-
-    Created via :meth:`Environment.ticker` from a generator — or any
-    iterator, e.g. a precomputed list of task durations wrapped in
-    ``iter()``, which ticks without resuming Python code at all — that
-    yields *raw delays* instead of events:
-
-    - ``yield d`` (a non-negative number): one tick, ``d`` time units
-      from now — the fast-path analogue of ``yield env.timeout(d)``;
-    - ``yield (period, n)`` (``n`` a positive int): ``n`` ticks at fixed
-      ``period`` — batched timeout scheduling. The generator resumes
-      only after the n-th tick, so fixed-period loops (gossip rounds,
-      heartbeats, poll intervals) skip the per-tick generator resume;
-    - ``return value``: the ticker ends and :attr:`completed` succeeds
-      with ``value`` (other processes join via ``yield t.completed``;
-      a plain iterator ends with ``None``).
-
-    Every tick is a real dispatched kernel event: it advances the clock,
-    increments ``dispatch_count``, and is visible to tracers and the
-    profiler as kind ``"Tick"``. Tick times are bit-identical to the
-    equivalent ``timeout`` chain (each tick time is ``previous + d``).
-
-    Determinism: all of a ticker's ticks reuse the single queue entry id
-    allocated at spawn, so same-time ties against other events break by
-    *spawn* order (a ticker spawned before an event was scheduled wins
-    the tie for its whole lifetime). Tickers cannot wait on events or be
-    interrupted — use :class:`Process` for that; an exception escaping
-    the generator fails :attr:`completed` (unhandled if nobody waits).
-    """
-
-    __slots__ = ("env", "_generator", "_entry", "completed", "__weakref__")
-
-    #: Kind string for tick dispatches (class-level, like Event._kind).
-    _kind = "Tick"
-
-    def __init__(self, env: "Environment", generator: Iterable):  # noqa: F821
-        if not hasattr(generator, "__next__"):
-            raise TypeError(
-                f"{generator!r} is not a generator or iterator")
-        self.env = env
-        self._generator = generator
-        #: The ticker's queue entry ``[time, priority, eid, self,
-        #: remaining, period]``. Batch state lives *in the entry* so the
-        #: dispatch loop works on list indices instead of slot lookups;
-        #: the entry is reused (mutated and re-sifted) for every tick.
-        self._entry: Optional[list] = None
-        #: Event that triggers with the generator's return value when the
-        #: ticker ends (or fails with the escaping exception).
-        self.completed = Event(env)
-
-    def __repr__(self) -> str:
-        name = getattr(self._generator, "__name__", str(self._generator))
-        return f"<Ticker({name}) at t={self.env.now}>"
-
-    @property
-    def done(self) -> bool:
-        return self.completed.triggered
-
-    def _finish(self, value: Any) -> None:
-        self.completed.succeed(value)
-
-    def _crash(self, err: BaseException) -> None:
-        self.completed.fail(err)
-
-
-def _retire_entry(queue: list, entry: list) -> None:
-    """Remove a finished/crashed ticker's entry from the heap.
-
-    Common case: the entry is still the root — one pop. Rare case: the
-    generator scheduled something (an urgent process spawn, another
-    ticker) that displaced it; entries are unique by eid, so ``index``
-    finds exactly this entry, and swap-with-last + heapify restores the
-    invariant in O(n), which is fine at churn frequency.
-    """
-    if queue[0] is entry:
-        heappop(queue)
-        return
-    pos = queue.index(entry)
-    last = queue.pop()
-    if last is not entry:
-        queue[pos] = last
-        heapify(queue)
-
-
-def _reschedule_ticker(queue: list, entry: list, ticker: Ticker,
-                       t: float, d: Any) -> None:
-    """Validate a yielded delay ``d`` and reschedule ``entry``.
-
-    The slow tail of a ticker resume: ``(period, n)`` batches, int
-    delays, and invalid yields all land here (the run loop inlines only
-    the common non-negative-float case). The entry is still in the heap;
-    in the common case it is still the root and the reschedule is one
-    in-place key bump + ``heapreplace`` sift. If the generator scheduled
-    something that displaced the root, the entry is pulled from the
-    interior instead (rare, O(n)).
-    """
-    try:
-        if d.__class__ is tuple:
-            d, n = d
-            if n.__class__ is not int or n < 1:
-                raise ValueError(
-                    f"tick batch count must be a positive int, got {n!r}")
-            remaining = n - 1
-        else:
-            remaining = 0
-        next_t = t + d  # also rejects non-numeric yields (TypeError)
-        if d < 0:
-            raise ValueError(f"negative tick delay {d}")
-    except (TypeError, ValueError) as err:
-        _retire_entry(queue, entry)
-        close = getattr(ticker._generator, "close", None)
-        if close is not None:  # plain iterators have no close()
-            close()
-        ticker._crash(RuntimeError(
-            f"ticker yielded an invalid value ({err}); yield a "
-            "non-negative delay or a (period, count) batch"))
-        return
-    entry[0] = next_t
-    entry[1] = _NORMAL
-    entry[4] = remaining
-    entry[5] = d
-    if queue[0] is entry:
-        heapreplace(queue, entry)
-    else:
-        _retire_entry(queue, entry)
-        heappush(queue, entry)
-
-
-def _resume_ticker(queue: list, entry: list, ticker: Ticker,
-                   t: float) -> None:
-    """Resume a ticker generator; ``entry`` is the heap root (just
-    dispatched at time ``t``). The entry is left in the heap across the
-    resume — see :func:`_reschedule_ticker` for why.
-    """
-    try:
-        d = ticker._generator.__next__()
-    except StopIteration as stop:
-        _retire_entry(queue, entry)
-        ticker._finish(stop.value)
-        return
-    except BaseException as err:
-        _retire_entry(queue, entry)
-        ticker._crash(err)
-        return
-    _reschedule_ticker(queue, entry, ticker, t, d)

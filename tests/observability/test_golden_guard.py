@@ -7,8 +7,8 @@ against the live kernel and asserts the canonical serialization of the
 freshly captured document is **byte-for-byte identical** to the committed
 file.  Any kernel change that perturbs event ordering, timestamps, trace
 content, or serialization shows up here as a hard failure, making this the
-conformance backstop for hot-path optimisations (two-tier dispatch, packed
-heap entries, batched tickers).
+conformance backstop for hot-path optimisations (two-tier dispatch, the
+single fast run loop).
 """
 
 from __future__ import annotations

@@ -5,14 +5,14 @@ from repro.sim import Environment
 
 
 def _workload(env):
-    def ticker(env):
+    def clock(env):
         for _ in range(10):
             yield env.timeout(1.0)
 
     def sleeper(env):
         yield env.timeout(25.0)
 
-    env.process(ticker(env))
+    env.process(clock(env))
     env.process(sleeper(env))
 
 
@@ -25,12 +25,12 @@ def test_profiler_attributes_dispatches_and_processes():
     assert profiler.dispatches > 0
     assert profiler.wall_s > 0
     names = {e.name for e in profiler.top_processes()}
-    assert {"ticker", "sleeper"} <= names
+    assert {"clock", "sleeper"} <= names
     kinds = {e.name for e in profiler.top_kinds()}
     assert "Timeout" in kinds
-    ticker_entry = profiler.processes["ticker"]
+    clock_entry = profiler.processes["clock"]
     # 10 timeouts + the Initialize resume.
-    assert ticker_entry.count == 11
+    assert clock_entry.count == 11
 
 
 def test_profiler_uninstalls_after_block():
@@ -54,7 +54,7 @@ def test_profiler_accumulates_across_blocks():
             env = Environment()
             _workload(env)
             env.run()
-    assert profiler.processes["ticker"].count == 22
+    assert profiler.processes["clock"].count == 22
 
 
 def test_report_lists_top_processes_and_events_per_s():
@@ -65,7 +65,7 @@ def test_report_lists_top_processes_and_events_per_s():
         env.run()
     text = profiler.report(top=5)
     assert "dispatches" in text
-    assert "ticker" in text
+    assert "clock" in text
     assert "events/s" in text
     assert profiler.events_per_s() > 0
     snap = profiler.snapshot()

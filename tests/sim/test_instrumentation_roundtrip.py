@@ -19,9 +19,9 @@ from repro.sim import Environment
 def drain(env, horizon=5.0):
     def body():
         while True:
-            yield 1.0
+            yield env.timeout(1.0)
 
-    env.ticker(body())
+    env.process(body())
     env.run(until=horizon)
 
 
@@ -151,7 +151,7 @@ def test_live_flag_identity_is_stable():
 def test_mid_run_round_trip_restores_fast_path():
     # Toggle instrumentation twice inside one run(): the traced windows
     # must capture exactly their dispatches and the untraced gaps none,
-    # while tick times stay unperturbed.
+    # while the worker's wake-up times stay unperturbed.
     env = Environment()
     seen = []
     fn = lambda t, eid, kind: seen.append(t)  # noqa: E731
@@ -159,7 +159,7 @@ def test_mid_run_round_trip_restores_fast_path():
 
     def work():
         for _ in range(8):
-            yield 1.0
+            yield env.timeout(1.0)
             times.append(env.now)
 
     def toggler():
@@ -173,14 +173,14 @@ def test_mid_run_round_trip_restores_fast_path():
         yield env.timeout(1.0)
         env.remove_tracer(fn)
 
-    env.ticker(work())
+    env.process(work())
     env.process(toggler())
     env.run()
     assert times == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
     assert env._instrumented is False
     assert env._tracers == []
-    # Traced windows were (1.5, 3.5] and (5.5, 6.5]: ticks at 2, 3 and 6,
-    # plus the toggler's own timeouts at 3.5 and 6.5.
+    # Traced windows were (1.5, 3.5] and (5.5, 6.5]: worker timeouts at
+    # 2, 3 and 6, plus the toggler's own timeouts at 3.5 and 6.5.
     assert [t for t in seen if t == int(t)] == [2.0, 3.0, 6.0]
 
 
@@ -190,7 +190,7 @@ def test_mid_run_profiler_round_trip():
 
     def work():
         for _ in range(6):
-            yield 1.0
+            yield env.timeout(1.0)
 
     def toggler():
         yield env.timeout(2.5)
@@ -198,9 +198,9 @@ def test_mid_run_profiler_round_trip():
         yield env.timeout(2.0)
         env.profiler = None
 
-    env.ticker(work())
+    env.process(work())
     env.process(toggler())
     env.run()
     assert env._instrumented is False
-    # Profiled window (2.5, 4.5]: ticks at 3, 4 and the toggler resume.
+    # Profiled window (2.5, 4.5]: worker timeouts at 3, 4 and the toggler's.
     assert prof.dispatches == 3

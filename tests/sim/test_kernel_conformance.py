@@ -248,6 +248,39 @@ class TestRunModes:
         assert log_t == [(0, 1.0), (1, 2.0), (2, 2.0)]
         assert log_e == log_t + [(3, 4.0)]
 
+    def test_bounded_run_with_mid_run_tracer_matches_untraced_run(self):
+        """A tracer added and removed mid-run switches dispatch tiers
+        inside one bounded run without changing what the run does."""
+        def bounded_run(toggle):
+            env = Environment()
+            log, seen = [], []
+            self._workload(env, log)
+            tracer = lambda t, eid, kind: seen.append(t)  # noqa: E731
+
+            def toggler(env):
+                yield env.timeout(1.5)
+                if toggle:
+                    env.add_tracer(tracer)
+                yield env.timeout(1.0)
+                if toggle:
+                    env.remove_tracer(tracer)
+                yield env.timeout(10.0)
+
+            env.process(toggler(env))
+            env.run(until=6)
+            return env, log, seen
+
+        plain, plain_log, _ = bounded_run(toggle=False)
+        traced, traced_log, seen = bounded_run(toggle=True)
+        assert traced.now == plain.now == 6.0
+        assert traced.dispatch_count == plain.dispatch_count
+        assert traced_log == plain_log == [
+            (0, 1.0), (1, 2.0), (2, 2.0), (3, 4.0)]
+        # Traced window (1.5, 2.5]: the two t=2 timeouts, their process
+        # completions, and the toggler's own timeout at 2.5.
+        assert seen == [2.0] * 4 + [2.5]
+        assert traced._instrumented is False
+
     def test_until_time_with_no_event_at_t_still_sets_now(self):
         env = Environment()
         env.timeout(1)
