@@ -493,59 +493,141 @@ def _merge_burst_spans(gray_episodes: dict, machines,
                 (float(start), float(end)))
 
 
+def _composed_world(seed: int, name: str, n_machines: int, tracer):
+    """The streams, kernel and cluster every composed world starts from."""
+    streams = RandomStreams(seed)
+    env = Environment()
+    if tracer is not None and tracer.env is None:
+        tracer.bind(env)
+    return streams, env, Cluster.homogeneous(name, n_machines, cores=4)
+
+
+def _fault_fabric(env: Environment, streams: RandomStreams, registry,
+                  groups: dict, partition_episodes, gray_episodes: dict,
+                  loss_episodes, **gray_knobs):
+    """The shared network with its fault models attached in a fixed
+    order: partitions of ``groups``, gray failures, then — only when
+    scheduled — message loss. Returns ``(network, gray_model)``."""
+    network = Network(env, monitor=Monitor(env, registry=registry,
+                                           namespace="network"))
+    network.attach(NetworkPartitionModel(
+        env, groups=groups, episodes=partition_episodes,
+        monitor=Monitor(env, registry=registry, namespace="partition")))
+    gray = network.attach(GrayFailureModel(
+        env, streams.get("gray-failures"), extra_latency_s=0.2,
+        episodes=gray_episodes,
+        monitor=Monitor(env, registry=registry, namespace="gray"),
+        **gray_knobs))
+    if loss_episodes:
+        network.attach(ScheduledMessageLoss(
+            env, streams.get("message-loss"), loss_episodes,
+            monitor=Monitor(env, registry=registry, namespace="loss")))
+    return network, gray
+
+
 class FrontDoor:
     """Admission-controlled entry point feeding a scheduler incrementally.
 
     Every offered task meets the brownout controller first (pressure is
-    the scheduler's ready-queue depth over ``queue_ref``): CRITICAL mode
-    sheds outright, DEGRADED mode doubles the token cost, NORMAL admits
-    at bucket rate. The ``offered == admitted + shed`` books are what the
-    front-door conservation law audits.
+    the scheduler's ready-queue depth over six queued tasks): CRITICAL
+    mode sheds outright, DEGRADED mode doubles the token cost, NORMAL
+    admits at bucket rate. The ``offered == admitted + shed`` books are
+    what the front-door conservation law audits; the ``composed``
+    monitor counts them too.
     """
 
-    def __init__(self, env: Environment, sim: ClusterSimulator,
-                 admitter: Optional[TokenBucketAdmitter] = None,
-                 brownout: Optional[BrownoutController] = None,
-                 monitor: Optional[Monitor] = None,
-                 queue_ref: float = 10.0):
-        if queue_ref <= 0:
-            raise ValueError("queue_ref must be positive")
+    def __init__(self, env: Environment, sim: ClusterSimulator, registry):
         self.env = env
         self.sim = sim
-        self.admitter = admitter
-        self.brownout = brownout
-        self.monitor = monitor
-        self.queue_ref = queue_ref
+        self.monitor = Monitor(env, registry=registry, namespace="composed")
+        self.admitter = TokenBucketAdmitter(env, rate_per_s=1.0, burst=4.0)
+        self.brownout = BrownoutController(
+            degraded_enter=1.2, degraded_exit=0.8,
+            critical_enter=2.5, critical_exit=1.6)
         self.offered = 0
         self.admitted = 0
         self.shed = 0
 
     def pressure(self) -> float:
         """Scheduler backlog as a brownout pressure signal."""
-        return len(self.sim.ready) / self.queue_ref
+        return len(self.sim.ready) / 6.0
 
     def offer(self, task: Task) -> bool:
         """Admit or shed one task; True means it reached the scheduler."""
         self.offered += 1
-        if self.monitor is not None:
-            self.monitor.count("offered")
-            self.monitor.record("pressure", self.pressure())
-        mode = ServiceMode.NORMAL
-        if self.brownout is not None:
-            mode = self.brownout.observe(self.pressure(), self.env.now)
+        self.monitor.count("offered")
+        self.monitor.record("pressure", self.pressure())
+        mode = self.brownout.observe(self.pressure(), self.env.now)
         cost = 2.0 if mode is ServiceMode.DEGRADED else 1.0
-        if mode is ServiceMode.CRITICAL or (
-                self.admitter is not None and not self.admitter.admit(cost)):
+        if mode is ServiceMode.CRITICAL or not self.admitter.admit(cost):
             self.shed += 1
-            if self.monitor is not None:
-                self.monitor.count("shed")
+            self.monitor.count("shed")
             return False
         self.admitted += 1
-        if self.monitor is not None:
-            self.monitor.count("admitted")
+        self.monitor.count("admitted")
         task.submit_time = self.env.now
         self.sim.submit_task(task)
         return True
+
+
+def _start_task_driver(env: Environment, streams: RandomStreams,
+                       door: FrontDoor, n_tasks: int, rate_per_s: float,
+                       overload_spans) -> None:
+    """Offer ``n_tasks`` batch tasks at the front door — Poisson arrivals
+    at ``rate_per_s`` times any active overload — then close submissions."""
+    task_rng = streams.get("task-sizes")
+    task_arrivals = streams.get("task-arrivals")
+
+    def task_driver(env):
+        for _ in range(n_tasks):
+            rate = rate_per_s * _overload_factor(overload_spans, env.now)
+            yield env.timeout(float(task_arrivals.exponential(1.0 / rate)))
+            door.offer(Task(work=float(task_rng.uniform(20.0, 80.0))))
+        door.sim.close_submissions()
+
+    env.process(task_driver(env))
+
+
+def _close_books(env: Environment, engine: Optional[InvariantEngine],
+                 door: FrontDoor, network: Network) -> dict:
+    """Run the final audit, close the door's brownout ledger, and report
+    the front-door, scheduler, network and invariant keys both composed
+    worlds share."""
+    if engine is not None:
+        engine.check_now()
+    door.brownout.finish(env.now)
+    sim = door.sim
+    metrics = sim.metrics() if sim.finished else None
+    lost_reports = sim.monitor.counters.get("lost_reports")
+    return {
+        # front door / scheduler
+        "offered": door.offered,
+        "admitted": door.admitted,
+        "door_shed": door.shed,
+        "submitted": sim.submitted,
+        "completed": metrics.n_tasks if metrics is not None else 0,
+        "lost": len(sim.failed),
+        "misdispatches": sim.misdispatches,
+        "lost_reports": lost_reports.total if lost_reports else 0,
+        "scheduler_crashes": sim.scheduler_crashes,
+        "recovered_completions": sim.recovered_completions,
+        "readopted": sim.readopted,
+        "orphans_requeued": sim.orphans_requeued,
+        "all_done": sim.all_done,
+        "sim_time_s": round(env.now, 3),
+        "makespan_s": (round(metrics.makespan_s, 3)
+                       if metrics is not None else None),
+        # network ledger
+        "messages_sent": network.sent,
+        "messages_delivered": network.delivered,
+        "messages_blocked": network.blocked,
+        "messages_dropped": network.dropped,
+        "messages_in_flight": network.in_flight,
+        # invariants
+        "invariant_checks": engine.checks if engine is not None else 0,
+        "invariant_violations": (engine.violations
+                                 if engine is not None else 0),
+    }
 
 
 def run_partition_scenario(seed: int = 0,
@@ -553,21 +635,7 @@ def run_partition_scenario(seed: int = 0,
                            task_rate_per_s: float = 0.8,
                            n_invocations: int = 120,
                            invoke_rate_per_s: float = 1.2,
-                           n_machines: int = 8,
-                           minority: int = 3,
-                           partition_start_s: float = 50.0,
-                           partition_end_s: float = 150.0,
-                           partition_direction: str = "both",
-                           gray_worker_span: tuple = (70.0, 190.0),
-                           gray_scheduler_span: tuple = (90.0, 130.0),
-                           gray_slowdown: float = 2.5,
                            gray_drop_rate: float = 0.15,
-                           gray_latency_s: float = 0.2,
-                           crash_at_s: float = 95.0,
-                           outage_s: float = 8.0,
-                           job_work_s: float = 240.0,
-                           job_mtbf_s: float = 150.0,
-                           check_interval_s: float = 1.0,
                            invariants: bool = True,
                            invariant_halt: bool = True,
                            partition_episodes: Optional[Iterable] = None,
@@ -581,11 +649,11 @@ def run_partition_scenario(seed: int = 0,
                            tracer=None, registry=None) -> dict:
     """The composed-ecosystem chaos study: every layer at once.
 
-    A serverless platform and a batch scheduler share one seeded world. A
-    network partition isolates a minority of the workers, one majority
-    worker and the scheduler node go *gray* (heartbeat-alive but slow,
-    lossy, and laggy), the scheduler itself fail-stops briefly and
-    recovers by journal, a reactive autoscaler adds workers as the
+    A serverless platform and a batch scheduler share one seeded world of
+    eight workers. A network partition isolates a minority of three, one
+    majority worker and the scheduler node go *gray* (heartbeat-alive
+    but slow, lossy, and laggy), the scheduler itself fail-stops briefly
+    and recovers by journal, a reactive autoscaler adds workers as the
     backlog grows, admission control and brownout shed at the front door,
     and a checkpointed side job rides out independent crashes — while an
     :class:`~repro.invariants.InvariantEngine` audits every layer's
@@ -598,56 +666,39 @@ def run_partition_scenario(seed: int = 0,
     gray workers — whose heartbeats are protected, per the definition of
     a gray failure — are never declared dead.
 
-    The schedule knobs (all default-``None``, leaving the classic run
-    byte-identical) let a fuzzing campaign drive the same world from a
-    serialized :class:`~repro.campaign.FaultSchedule`:
-    ``partition_episodes`` replaces the single minority cut,
+    The fault plan is the schedule knobs alone — the keyword arguments a
+    serialized :class:`~repro.campaign.FaultSchedule` emits — and each
+    ``None`` default is the classic run: ``partition_episodes`` cuts the
+    ``"minority"`` group (classic: both ways during [50, 150)),
     ``gray_spans`` maps the roles ``"worker"``/``"scheduler"`` to span
-    lists, ``crash_schedule`` is ``[(crash_at_s, outage_s), ...]``,
+    lists (classic: [70, 190) and [90, 130)), ``crash_schedule`` is
+    ``[(crash_at_s, outage_s), ...]`` (classic: one 8 s outage at 95 s),
     ``burst_episodes``/``loss_episodes``/``overload_spans`` add
     correlated gray bursts, scheduled message loss, and arrival-rate
     multipliers, and ``sim_budget_s`` bounds the run in sim-time so no
-    random schedule can wedge it. ``report_retry=False`` plants the
+    random schedule can wedge it. Minority detection latencies are
+    measured from the start of the first partition episode, and are
+    ``None`` when the plan has none. ``report_retry=False`` plants the
     known lost-completion-report liveness bug for oracle validation.
     """
-    if not 0 < minority < n_machines:
-        raise ValueError("minority must be in (0, n_machines)")
-    streams = RandomStreams(seed)
-    env = Environment()
-    if tracer is not None and tracer.env is None:
-        tracer.bind(env)
-    cluster = Cluster.homogeneous("composed", n_machines, cores=4)
-    minority_names = [m.name for m in cluster.machines[-minority:]]
-    gray_worker = cluster.machines[-minority - 1].name
+    streams, env, cluster = _composed_world(seed, "composed", 8, tracer)
+    minority_names = [m.name for m in cluster.machines[-3:]]
+    gray_worker = cluster.machines[-4].name    # the last majority worker
 
-    if partition_episodes is None:
-        partition_episodes = [PartitionEpisode(
-            partition_start_s, partition_end_s,
-            "minority", partition_direction)]
+    partition_episodes = list(
+        [PartitionEpisode(50.0, 150.0, "minority")]
+        if partition_episodes is None else partition_episodes)
     if gray_spans is None:
-        gray_spans = {"worker": [gray_worker_span],
-                      "scheduler": [gray_scheduler_span]}
+        gray_spans = {"worker": [(70.0, 190.0)],
+                      "scheduler": [(90.0, 130.0)]}
     gray_episodes = {
         gray_worker: [tuple(s) for s in gray_spans.get("worker", ())],
         "scheduler": [tuple(s) for s in gray_spans.get("scheduler", ())]}
     _merge_burst_spans(gray_episodes, cluster.machines, burst_episodes)
-
-    network = Network(env, monitor=Monitor(env, registry=registry,
-                                           namespace="network"))
-    partition = network.attach(NetworkPartitionModel(
-        env, groups={"minority": minority_names},
-        episodes=list(partition_episodes),
-        monitor=Monitor(env, registry=registry, namespace="partition")))
-    gray = network.attach(GrayFailureModel(
-        env, streams.get("gray-failures"),
-        slowdown=gray_slowdown, drop_rate=gray_drop_rate,
-        extra_latency_s=gray_latency_s,
-        episodes=gray_episodes,
-        monitor=Monitor(env, registry=registry, namespace="gray")))
-    if loss_episodes:
-        network.attach(ScheduledMessageLoss(
-            env, streams.get("message-loss"), loss_episodes,
-            monitor=Monitor(env, registry=registry, namespace="loss")))
+    network, gray = _fault_fabric(
+        env, streams, registry, {"minority": minority_names},
+        partition_episodes, gray_episodes, loss_episodes,
+        slowdown=2.5, drop_rate=gray_drop_rate)
 
     detector = PhiAccrualDetector(
         env, threshold=8.0, poll_interval_s=0.5,
@@ -674,13 +725,7 @@ def run_partition_scenario(seed: int = 0,
     for machine in cluster.machines:
         add_heartbeat(machine)
 
-    composed_monitor = Monitor(env, registry=registry, namespace="composed")
-    door = FrontDoor(
-        env, sim,
-        admitter=TokenBucketAdmitter(env, rate_per_s=1.0, burst=4.0),
-        brownout=BrownoutController(degraded_enter=1.2, degraded_exit=0.8,
-                                    critical_enter=2.5, critical_exit=1.6),
-        monitor=composed_monitor, queue_ref=6.0)
+    door = FrontDoor(env, sim, registry)
 
     platform = FaaSPlatform(
         env,
@@ -699,15 +744,15 @@ def run_partition_scenario(seed: int = 0,
 
     store = CheckpointStore(env, tier="local", keep_last=3)
     job = CheckpointedJob(
-        env, work_s=job_work_s,
+        env, work_s=240.0,
         policy=DalyOptimalCheckpoint(store.write_time_s(100.0),
-                                     mtbf_s=job_mtbf_s),
+                                     mtbf_s=150.0),
         store=store, checkpoint_size_mb=100.0, restart_cost_s=2.0,
         name="composed-job",
         monitor=Monitor(env, registry=registry, namespace="recovery"),
         tracer=tracer)
     crash = CrashRestart(env, [job], streams.get("job-crashes"),
-                         mtbf_s=job_mtbf_s, mttr_s=10.0,
+                         mtbf_s=150.0, mttr_s=10.0,
                          name="composed-job-crash")
 
     engine = None
@@ -716,21 +761,10 @@ def run_partition_scenario(seed: int = 0,
             env,
             standard_laws(network=network, scheduler=sim, platform=platform,
                           front_door=door, jobs=[job]),
-            check_interval_s=check_interval_s,
-            halt=invariant_halt, seed=seed,
+            check_interval_s=1.0, halt=invariant_halt, seed=seed,
             monitor=Monitor(env, registry=registry, namespace="invariants"))
 
-    task_rng = streams.get("task-sizes")
-    task_arrivals = streams.get("task-arrivals")
     invoke_arrivals = streams.get("invoke-arrivals")
-
-    def task_driver(env):
-        for _ in range(n_tasks):
-            rate = task_rate_per_s * _overload_factor(overload_spans,
-                                                      env.now)
-            yield env.timeout(float(task_arrivals.exponential(1.0 / rate)))
-            door.offer(Task(work=float(task_rng.uniform(20.0, 80.0))))
-        sim.close_submissions()
 
     def invoke_driver(env):
         for _ in range(n_invocations):
@@ -739,9 +773,9 @@ def run_partition_scenario(seed: int = 0,
             yield env.timeout(float(invoke_arrivals.exponential(1.0 / rate)))
             platform.invoke("f")
 
-    crashes = ([(crash_at_s, outage_s)] if crash_schedule is None
-               else sorted((float(at), float(down))
-                           for at, down in crash_schedule))
+    crashes = sorted((float(at), float(down)) for at, down in
+                     ([(95.0, 8.0)] if crash_schedule is None
+                      else crash_schedule))
 
     def outage(env):
         for at, down_s in crashes:
@@ -753,13 +787,12 @@ def run_partition_scenario(seed: int = 0,
             yield env.timeout(down_s)
             yield from sim.recover_scheduler()
 
-    scale_limit = 2
     scaled: list[Machine] = []
 
     def autoscaler(env):
         while not sim.all_done:
             yield env.timeout(5.0)
-            if len(sim.ready) >= 12 and len(scaled) < scale_limit:
+            if len(sim.ready) >= 12 and len(scaled) < 2:
                 machine = Machine(f"composed-x{len(scaled):04d}", cores=4,
                                   memory_gb=32.0)
                 cluster.add_machine(machine)
@@ -768,10 +801,11 @@ def run_partition_scenario(seed: int = 0,
                     f"hb-{machine.name}")
                 add_heartbeat(machine)
                 scaled.append(machine)
-                composed_monitor.count("scaled_up")
+                door.monitor.count("scaled_up")
                 sim.handle_machine_repair(machine)
 
-    env.process(task_driver(env))
+    _start_task_driver(env, streams, door, n_tasks, task_rate_per_s,
+                       overload_spans)
     env.process(invoke_driver(env))
     env.process(outage(env))
     env.process(autoscaler(env))
@@ -787,14 +821,9 @@ def run_partition_scenario(seed: int = 0,
         # Campaign mode: a hard sim-time ceiling, so no random schedule
         # can wedge the run waiting for a scheduler that never finishes.
         env.run(until=sim_budget_s)
-    if engine is not None:
-        engine.check_now()
-    if door.brownout is not None:
-        door.brownout.finish(env.now)
-    if platform.brownout is not None:
-        platform.brownout.finish(env.now)
+    books = _close_books(env, engine, door, network)
+    platform.brownout.finish(env.now)
 
-    metrics = sim.metrics() if sim.finished else None
     job_stats = job.stats() if job.finished_at is not None else None
     suspected_minority = [name for name in minority_names
                           if any(key == name
@@ -802,31 +831,15 @@ def run_partition_scenario(seed: int = 0,
     first_onset: dict = {}
     for key, onset, _ in detector.suspicion_log:
         first_onset.setdefault(key, onset)
+    # Latencies count from the plan's first partition episode.
+    cut_at = min((e.start_s for e in partition_episodes), default=None)
     minority_detection_latency_s = {
-        name: (round(first_onset[name] - partition_start_s, 3)
-               if name in first_onset else None)
+        name: (round(first_onset[name] - cut_at, 3)
+               if cut_at is not None and name in first_onset else None)
         for name in minority_names}
-    lost_reports = sim.monitor.counters.get("lost_reports")
-    return {
-        # front door / scheduler
-        "offered": door.offered,
-        "admitted": door.admitted,
-        "door_shed": door.shed,
-        "submitted": sim.submitted,
-        "completed": metrics.n_tasks if metrics is not None else 0,
-        "lost": len(sim.failed),
+    return books | {
         "restarts": sim.restarts,
-        "misdispatches": sim.misdispatches,
-        "lost_reports": lost_reports.total if lost_reports else 0,
-        "scheduler_crashes": sim.scheduler_crashes,
-        "recovered_completions": sim.recovered_completions,
-        "readopted": sim.readopted,
-        "orphans_requeued": sim.orphans_requeued,
         "scaled_up": len(scaled),
-        "all_done": sim.all_done,
-        "sim_time_s": round(env.now, 3),
-        "makespan_s": (round(metrics.makespan_s, 3)
-                       if metrics is not None else None),
         # detection
         "suspicions": detector.suspicions,
         "suspicions_by_reason": dict(detector.suspicions_by_reason),
@@ -837,12 +850,6 @@ def run_partition_scenario(seed: int = 0,
         "gray_worker_suspected": any(key == gray_worker
                                      for key, _, _ in
                                      detector.suspicion_log),
-        # network ledger
-        "messages_sent": network.sent,
-        "messages_delivered": network.delivered,
-        "messages_blocked": network.blocked,
-        "messages_dropped": network.dropped,
-        "messages_in_flight": network.in_flight,
         # serverless
         "invocations": len(platform.invocations),
         "invocations_completed": len(platform.completed("f")),
@@ -854,10 +861,6 @@ def run_partition_scenario(seed: int = 0,
                         if job_stats is not None else job.crashes),
         "job_finished": job.finished_at is not None,
         "job_availability": round(crash.empirical_availability(), 6),
-        # invariants
-        "invariant_checks": engine.checks if engine is not None else 0,
-        "invariant_violations": (engine.violations
-                                 if engine is not None else 0),
     }
 
 
@@ -866,19 +869,6 @@ def run_partition_scenario(seed: int = 0,
 def run_failover_scenario(seed: int = 0,
                           n_tasks: int = 36,
                           task_rate_per_s: float = 0.6,
-                          n_machines: int = 6,
-                          partition_start_s: float = 60.0,
-                          partition_heal_s: float = 150.0,
-                          oneway_heal_s: float = 170.0,
-                          gray_span: tuple = (55.0, 170.0),
-                          gray_drop_rate: float = 0.15,
-                          gray_latency_s: float = 0.2,
-                          lease_ttl_s: float = 4.0,
-                          renew_interval_s: float = 1.0,
-                          takeover_cost_s: float = 0.5,
-                          restart_cost_s: float = 5.0,
-                          replay_cost_per_record_s: float = 0.01,
-                          check_interval_s: float = 1.0,
                           invariant_halt: bool = True,
                           partition_episodes: Optional[Iterable] = None,
                           gray_spans: Optional[Iterable] = None,
@@ -892,8 +882,8 @@ def run_failover_scenario(seed: int = 0,
     """The failover study: a partitioned, gray-failing leader is replaced.
 
     Three control nodes (``cp-0`` leads at boot) run lease election and
-    journal shipping over the same network the dispatches use. At
-    ``partition_start_s`` the leader is cut off *while gray-failing*
+    journal shipping over the same network the dispatches use, in front
+    of six workers. At 60 s the leader is cut off *while gray-failing*
     (its data-plane traffic was already lossy and laggy; its lease
     renewals were protected — slow is not down). The standbys' phi
     detectors read the renewal silence, one wins the next term within
@@ -901,64 +891,50 @@ def run_failover_scenario(seed: int = 0,
     its shipped journal prefix is the believed-state map, so promotion
     pays the takeover cost plus reconciliation — no replay.
 
-    The heal is deliberately one-way (``inbound`` episode until
-    ``oneway_heal_s``): from ``partition_heal_s`` the deposed leader's
-    *outbound* writes reach the majority again while it still cannot
-    hear the new term. Its term-stamped dispatches bounce off the fence
-    — counted, one-for-one, by the ``fenced_writes_rejected`` law — and
-    the rejections teach it to step down. Split-brain is an observable
-    non-event: zero tasks lost, zero duplicated, exactly one leader per
-    term, audited every simulated second.
+    The heal is deliberately one-way: from 150 s an ``inbound`` episode
+    until 170 s lets the deposed leader's *outbound* writes reach the
+    majority again while it still cannot hear the new term. Its
+    term-stamped dispatches bounce off the fence — counted, one-for-one,
+    by the ``fenced_writes_rejected`` law — and the rejections teach it
+    to step down. Split-brain is an observable non-event: zero tasks
+    lost, zero duplicated, exactly one leader per term, audited every
+    simulated second.
 
-    The schedule knobs mirror :func:`run_partition_scenario` (defaults
-    leave the classic run byte-identical): ``partition_episodes`` acts on
-    the ``"old-leader"`` group, ``gray_spans`` is a list of spans for the
-    boot leader ``cp-0``, bursts gray-degrade a machine-fleet prefix,
-    and ``sim_budget_s`` bounds the run. ``fence_on_failover=False``
-    plants the known split-brain safety bug (promotion never fences nor
-    advances the epoch), ``report_retry=False`` the lost-report liveness
-    bug — both are what a campaign's oracles exist to catch.
+    As in :func:`run_partition_scenario`, the fault plan is the schedule
+    knobs alone and each ``None`` default is the classic run above:
+    ``partition_episodes`` acts on the ``"old-leader"`` group,
+    ``gray_spans`` is a list of spans for the boot leader ``cp-0``
+    (classic: [55, 170)), bursts gray-degrade a machine-fleet prefix,
+    and ``sim_budget_s`` bounds the run. Leader detection latency and
+    ``failover_mttr_s`` are measured from the start of the first
+    partition episode (``None`` without one), and an unbudgeted run
+    plays its epilogue out to 10 s past the end of the last one.
+    ``fence_on_failover=False`` plants the known split-brain safety bug
+    (promotion never fences nor advances the epoch),
+    ``report_retry=False`` the lost-report liveness bug — both are what
+    a campaign's oracles exist to catch.
     """
-    streams = RandomStreams(seed)
-    env = Environment()
-    if tracer is not None and tracer.env is None:
-        tracer.bind(env)
-    cluster = Cluster.homogeneous("failover", n_machines, cores=4)
-    nodes = ("cp-0", "cp-1", "cp-2")
+    streams, env, cluster = _composed_world(seed, "failover", 6, tracer)
 
-    if partition_episodes is None:
-        partition_episodes = [
-            PartitionEpisode(partition_start_s, partition_heal_s,
-                             "old-leader", "both"),
-            PartitionEpisode(partition_heal_s, oneway_heal_s,
-                             "old-leader", "inbound")]
-    gray_episodes = {"cp-0": ([gray_span] if gray_spans is None
-                              else [tuple(s) for s in gray_spans])}
+    partition_episodes = list(
+        [PartitionEpisode(60.0, 150.0, "old-leader"),
+         PartitionEpisode(150.0, 170.0, "old-leader", "inbound")]
+        if partition_episodes is None else partition_episodes)
+    gray_episodes = {"cp-0": [tuple(s) for s in
+                              ([(55.0, 170.0)] if gray_spans is None
+                               else gray_spans)]}
     _merge_burst_spans(gray_episodes, cluster.machines, burst_episodes)
-
-    network = Network(env, monitor=Monitor(env, registry=registry,
-                                           namespace="network"))
-    network.attach(NetworkPartitionModel(
-        env, groups={"old-leader": ["cp-0"]},
-        episodes=list(partition_episodes),
-        monitor=Monitor(env, registry=registry, namespace="partition")))
-    network.attach(GrayFailureModel(
-        env, streams.get("gray-failures"),
-        slowdown=2.0, drop_rate=gray_drop_rate,
-        extra_latency_s=gray_latency_s,
-        episodes=gray_episodes,
-        protected_kinds=("heartbeat", "lease", "lease_ack"),
-        monitor=Monitor(env, registry=registry, namespace="gray")))
-    if loss_episodes:
-        network.attach(ScheduledMessageLoss(
-            env, streams.get("message-loss"), loss_episodes,
-            monitor=Monitor(env, registry=registry, namespace="loss")))
+    network, _ = _fault_fabric(
+        env, streams, registry, {"old-leader": ["cp-0"]},
+        partition_episodes, gray_episodes, loss_episodes,
+        slowdown=2.0, drop_rate=0.15,
+        protected_kinds=("heartbeat", "lease", "lease_ack"))
 
     journal = Journal(env, append_cost_s=0.002,
-                      replay_cost_per_record_s=replay_cost_per_record_s,
+                      replay_cost_per_record_s=0.01,
                       name="failover-journal")
     sim = ClusterSimulator(env, cluster, FCFSPolicy(), journal=journal,
-                           scheduler_restart_cost_s=restart_cost_s,
+                           scheduler_restart_cost_s=5.0,
                            network=network, node_name="cp-0",
                            report_retry=report_retry,
                            tracer=tracer, registry=registry)
@@ -969,9 +945,8 @@ def run_failover_scenario(seed: int = 0,
         env, threshold=4.0, poll_interval_s=0.25,
         monitor=replication_monitor, name="lease")
     control = ReplicatedControlPlane(
-        env, sim, network, nodes, streams,
-        lease_ttl_s=lease_ttl_s, renew_interval_s=renew_interval_s,
-        takeover_cost_s=takeover_cost_s,
+        env, sim, network, ("cp-0", "cp-1", "cp-2"), streams,
+        lease_ttl_s=4.0, renew_interval_s=1.0, takeover_cost_s=0.5,
         detector=lease_detector, monitor=replication_monitor,
         tracer=tracer,
         # The pathological leader: gray-failed, it never audits its own
@@ -979,78 +954,43 @@ def run_failover_scenario(seed: int = 0,
         self_demote={"cp-0": False},
         fence_on_failover=fence_on_failover)
 
-    composed_monitor = Monitor(env, registry=registry, namespace="composed")
-    door = FrontDoor(
-        env, sim,
-        admitter=TokenBucketAdmitter(env, rate_per_s=1.0, burst=4.0),
-        brownout=BrownoutController(degraded_enter=1.2, degraded_exit=0.8,
-                                    critical_enter=2.5, critical_exit=1.6),
-        monitor=composed_monitor, queue_ref=6.0)
+    door = FrontDoor(env, sim, registry)
 
     engine = InvariantEngine(
         env,
         standard_laws(network=network, scheduler=sim, front_door=door,
                       control_plane=control),
-        check_interval_s=check_interval_s,
-        halt=invariant_halt, seed=seed,
+        check_interval_s=1.0, halt=invariant_halt, seed=seed,
         monitor=Monitor(env, registry=registry, namespace="invariants"))
 
-    task_rng = streams.get("task-sizes")
-    task_arrivals = streams.get("task-arrivals")
-
-    def task_driver(env):
-        for _ in range(n_tasks):
-            rate = task_rate_per_s * _overload_factor(overload_spans,
-                                                      env.now)
-            yield env.timeout(float(task_arrivals.exponential(1.0 / rate)))
-            door.offer(Task(work=float(task_rng.uniform(20.0, 80.0))))
-        sim.close_submissions()
-
-    env.process(task_driver(env))
+    _start_task_driver(env, streams, door, n_tasks, task_rate_per_s,
+                       overload_spans)
 
     if sim_budget_s is None:
         env.run(until=sim._scheduler)
         # The books usually close before the heal; play the epilogue out
         # so the deposed leader is fenced, deposed, and re-adopted as a
         # standby. A long workload may already have run past it.
-        if env.now < oneway_heal_s + 10.0:
-            env.run(until=oneway_heal_s + 10.0)
+        quiet_at = max((e.end_s for e in partition_episodes),
+                       default=0.0) + 10.0
+        if env.now < quiet_at:
+            env.run(until=quiet_at)
         env.run(until=env.now + 10.0)
     else:
         # Campaign mode: a hard sim-time ceiling — random schedules must
         # never wedge the run.
         env.run(until=sim_budget_s)
-    engine.check_now()
-    if door.brownout is not None:
-        door.brownout.finish(env.now)
+    books = _close_books(env, engine, door, network)
 
-    metrics = sim.metrics() if sim.finished else None
-    first_onset = None
-    for _, onset, _ in lease_detector.suspicion_log:
-        if onset >= partition_start_s:
-            first_onset = onset
-            break
-    first_promotion = (min(control.promoted_at.values())
-                       if control.promoted_at else None)
-    lost_reports = sim.monitor.counters.get("lost_reports")
-    return {
-        # front door / scheduler
-        "offered": door.offered,
-        "admitted": door.admitted,
-        "door_shed": door.shed,
-        "submitted": sim.submitted,
-        "completed": metrics.n_tasks if metrics is not None else 0,
-        "lost": len(sim.failed),
-        "misdispatches": sim.misdispatches,
-        "lost_reports": lost_reports.total if lost_reports else 0,
-        "scheduler_crashes": sim.scheduler_crashes,
-        "recovered_completions": sim.recovered_completions,
-        "readopted": sim.readopted,
-        "orphans_requeued": sim.orphans_requeued,
-        "all_done": sim.all_done,
-        "sim_time_s": round(env.now, 3),
-        "makespan_s": (round(metrics.makespan_s, 3)
-                       if metrics is not None else None),
+    # Both clocks start at the plan's first partition episode.
+    cut_at = min((e.start_s for e in partition_episodes), default=None)
+    first_onset = first_promotion = None
+    if cut_at is not None:
+        first_onset = next((onset for _, onset, _ in
+                            lease_detector.suspicion_log
+                            if onset >= cut_at), None)
+        first_promotion = min(control.promoted_at.values(), default=None)
+    return books | {
         # election
         "failovers": control.failovers,
         "promotions": control.election.promotions,
@@ -1065,10 +1005,9 @@ def run_failover_scenario(seed: int = 0,
         "votes_denied": control.election.votes_denied,
         "stand_downs": control.election.stand_downs,
         "demotions": control.election.demotions,
-        "leader_detect_latency_s": (
-            round(first_onset - partition_start_s, 3)
-            if first_onset is not None else None),
-        "failover_mttr_s": (round(first_promotion - partition_start_s, 3)
+        "leader_detect_latency_s": (round(first_onset - cut_at, 3)
+                                    if first_onset is not None else None),
+        "failover_mttr_s": (round(first_promotion - cut_at, 3)
                             if first_promotion is not None else None),
         "lease_suspicions": lease_detector.suspicions,
         "lease_false_suspicions": lease_detector.false_suspicions,
@@ -1089,15 +1028,6 @@ def run_failover_scenario(seed: int = 0,
         "old_leader_deposed_at_s": (
             round(control.deposed_at["cp-0"], 3)
             if "cp-0" in control.deposed_at else None),
-        # network ledger
-        "messages_sent": network.sent,
-        "messages_delivered": network.delivered,
-        "messages_blocked": network.blocked,
-        "messages_dropped": network.dropped,
-        "messages_in_flight": network.in_flight,
-        # invariants
-        "invariant_checks": engine.checks,
-        "invariant_violations": engine.violations,
     }
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from repro.campaign.oracles import standard_oracles
 from repro.faults.chaos import run_failover_scenario
+from repro.faults.partition import PartitionEpisode
 
 SEEDS = (7, 19, 42)
 
@@ -85,6 +86,29 @@ def test_workload_outlasting_the_heal_still_passes_the_oracles(seed,
     # epilogue point; the run must skip that step, not ask the kernel to
     # run to a time it has already passed.
     result = run_failover_scenario(seed=seed, n_tasks=n_tasks)
+    failures = {o.name: o.check(result)
+                for o in standard_oracles("failover")}
+    assert {name: f for name, f in failures.items() if f} == {}
+
+
+def test_detection_and_mttr_count_from_the_scheduled_cut():
+    # The cut moves to 90 s and the one-way heal to [180, 200): both
+    # clocks start at the plan's first partition episode, and the
+    # epilogue plays out past the end of its last one.
+    result = run_failover_scenario(seed=7, partition_episodes=[
+        PartitionEpisode(90.0, 180.0, "old-leader"),
+        PartitionEpisode(180.0, 200.0, "old-leader", "inbound")])
+    assert 0.0 <= result["leader_detect_latency_s"] < 5.0
+    assert 0.0 < result["failover_mttr_s"] < FAILOVER_WINDOW_S
+    assert result["sim_time_s"] >= 210.0
+
+
+def test_plan_without_a_partition_reports_no_failover_clock():
+    result = run_failover_scenario(seed=7, partition_episodes=[],
+                                   sim_budget_s=400.0)
+    assert result["messages_blocked"] == 0
+    assert result["leader_detect_latency_s"] is None
+    assert result["failover_mttr_s"] is None
     failures = {o.name: o.check(result)
                 for o in standard_oracles("failover")}
     assert {name: f for name, f in failures.items() if f} == {}

@@ -15,6 +15,7 @@ ISSUE 6's headline claims, each pinned per seed:
 
 import pytest
 
+from repro.campaign.oracles import standard_oracles
 from repro.cluster import Cluster
 from repro.faults.chaos import run_partition_scenario
 from repro.faults.partition import NetworkPartitionModel, PartitionEpisode
@@ -82,6 +83,29 @@ def test_recovery_survived_the_composition(result):
     assert result["orphans_requeued"] + result["readopted"] \
         + result["recovered_completions"] > 0
     assert result["job_makespan_s"] > 0
+
+
+def test_detection_latency_counts_from_the_scheduled_cut():
+    # The cut moves to 80 s: latencies are measured from the plan's first
+    # partition episode, not from the classic run's 50 s.
+    result = run_partition_scenario(
+        seed=7, partition_episodes=[PartitionEpisode(80.0, 180.0,
+                                                     "minority")])
+    latencies = result["minority_detection_latency_s"]
+    assert len(latencies) == 3
+    for name, latency in latencies.items():
+        assert latency is not None, f"{name} never suspected"
+        assert 0.0 <= latency <= DETECTION_WINDOW_S, (name, latency)
+
+
+def test_plan_without_a_partition_reports_no_detection_latency():
+    result = run_partition_scenario(seed=7, partition_episodes=[],
+                                    sim_budget_s=400.0)
+    assert result["messages_blocked"] == 0
+    assert set(result["minority_detection_latency_s"].values()) == {None}
+    failures = {o.name: o.check(result)
+                for o in standard_oracles("partition")}
+    assert {name: f for name, f in failures.items() if f} == {}
 
 
 class TestOneWayPartitions:

@@ -78,10 +78,13 @@ def test_composed_scenario_laws_hold_across_fault_grid(
         seed, direction, gray_drop):
     """The full composed stack balances under varied partition/gray knobs."""
     from repro.faults.chaos import run_partition_scenario
+    from repro.faults.partition import PartitionEpisode
     result = run_partition_scenario(
         seed=seed, n_tasks=16, task_rate_per_s=1.0,
         n_invocations=20, invoke_rate_per_s=2.0,
-        partition_direction=direction, gray_drop_rate=gray_drop)
+        partition_episodes=[PartitionEpisode(50.0, 150.0, "minority",
+                                             direction)],
+        gray_drop_rate=gray_drop)
     assert result["invariant_checks"] > 0
     assert result["invariant_violations"] == 0
     assert result["lost"] == 0
