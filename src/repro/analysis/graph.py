@@ -254,12 +254,6 @@ class Project:
                          kind=kind, target=target))
 
     # -- resolution --------------------------------------------------------
-    def _class_for_dotted(self, dotted: str) -> Optional[ClassInfo]:
-        return self.classes.get(dotted)
-
-    def _function_for_dotted(self, dotted: str) -> Optional[FunctionInfo]:
-        return self.functions.get(dotted)
-
     def _constructor(self, cinfo: ClassInfo) -> tuple[str, str]:
         """Resolve instantiating a project class to its ``__init__``."""
         seen = set()

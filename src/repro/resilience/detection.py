@@ -22,8 +22,10 @@ the harness (:mod:`repro.faults.chaos`), which knows when it crashed what.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
+from statistics import NormalDist
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -131,6 +133,9 @@ class PhiAccrualDetector:
     periodically so suspicion onsets are recorded with bounded latency even
     when nobody queries the detector — and so detection latency is a
     measurable property of the configuration, not of the caller's luck.
+
+    ``is_suspect`` is one float comparison until a key's calm deadline
+    (:meth:`_calm_deadline`); after it the exact :meth:`phi` decides.
     """
 
     #: Extra std (as a fraction of the mean interval) granted while a key
@@ -148,6 +153,9 @@ class PhiAccrualDetector:
                  name: str = "phi"):
         if threshold <= 0:
             raise ValueError("threshold must be positive")
+        if threshold > PHI_MAX:
+            raise ValueError(f"threshold above PHI_MAX ({PHI_MAX}) never "
+                             "suspects: phi is capped there")
         if window < 1:
             raise ValueError("window must be >= 1")
         if poll_interval_s is not None and poll_interval_s <= 0:
@@ -158,6 +166,8 @@ class PhiAccrualDetector:
             raise ValueError("variance_cv must be positive")
         self.env = env
         self.threshold = threshold
+        p_cross = 10.0 ** -threshold  # phi hits threshold z stds past mean
+        self._z = -NormalDist().inv_cdf(p_cross) if p_cross < 0.5 else 0.0
         self.window = window
         self.min_std_s = min_std_s
         #: Real heartbeats required before the prime-decay guard lifts.
@@ -174,6 +184,10 @@ class PhiAccrualDetector:
         self._last: dict[Any, float] = {}
         #: Real (non-primed) heartbeats observed per key.
         self._observed: dict[Any, int] = {}
+        #: Per key, the time before which phi cannot reach the threshold.
+        self._calm_until: dict[Any, float] = {}
+        #: Registered keys in the ``str`` order the poller walks.
+        self._poll_order: list[Any] = []
         #: Onset time of each currently-standing suspicion.
         self._suspected_at: dict[Any, float] = {}
         #: Reason tag of each currently-standing suspicion.
@@ -202,6 +216,8 @@ class PhiAccrualDetector:
                                          maxlen=self.window)
             self._last[key] = self.env.now
             self._observed[key] = 0
+            self._calm_until[key] = self._calm_deadline(key)
+            bisect.insort(self._poll_order, key, key=str)
 
     def heartbeat(self, key: Any) -> None:
         """One heartbeat from ``key`` arrived now."""
@@ -212,6 +228,7 @@ class PhiAccrualDetector:
         self._intervals[key].append(now - self._last[key])
         self._last[key] = now
         self._observed[key] = self._observed.get(key, 0) + 1
+        self._calm_until[key] = self._calm_deadline(key)
         onset = self._suspected_at.pop(key, None)
         self._suspect_reasons.pop(key, None)
         if onset is not None:
@@ -270,9 +287,25 @@ class PhiAccrualDetector:
             return "variance"
         return "silence" if std <= self.variance_cv * mean else "variance"
 
+    def _calm_deadline(self, key: Any) -> float:
+        """When ``phi(key)`` may first reach the threshold, less a 1e-6
+        relative guard band: phi crosses it at ``elapsed = mean + z * std``,
+        and std never drops below the floor :meth:`_window_stats` sets."""
+        if self._z <= 0.0:
+            return -math.inf
+        samples, observed = self._intervals[key], self._observed[key]
+        mean = sum(samples) / len(samples)
+        floor = (self.min_std_s if len(samples) > 1
+                 else max(self.min_std_s, 0.1 * mean))
+        if observed < self.min_samples:
+            decay = (self.min_samples - observed) / self.min_samples
+            floor = max(floor, self.PRIME_STD_FACTOR * mean * decay)
+        span, last = mean + self._z * floor, self._last[key]
+        return last + span - 1e-6 * (span + abs(last))
+
     def is_suspect(self, key: Any) -> bool:
         """Whether ``key`` is currently suspected (recording the onset)."""
-        if key not in self._intervals:
+        if self.env.now < self._calm_until.get(key, math.inf):
             return False
         if key in self._suspected_at:
             return True
@@ -313,5 +346,5 @@ class PhiAccrualDetector:
     def _poll(self, interval_s: float):
         while True:
             yield self.env.timeout(interval_s)
-            for key in sorted(self._intervals, key=str):
+            for key in self._poll_order:
                 self.is_suspect(key)

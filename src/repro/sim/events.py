@@ -111,6 +111,9 @@ class Event:
         self._value = event._value
         self.env._schedule(self)
 
+    def _on_cancel(self) -> None:
+        """Run when the waiting process is interrupted: leave any queue."""
+
     # -- composition -------------------------------------------------------
     def __and__(self, other: "Event") -> "AllOf":
         return AllOf(self.env, [self, other])
@@ -194,6 +197,8 @@ class Process(Event):
             raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
         if self is self.env.active_process:
             raise RuntimeError("a process cannot interrupt itself")
+        if self._target is not None:
+            self._target._on_cancel()
         interrupt_ev = Event(self.env)
         interrupt_ev._ok = False
         interrupt_ev._value = Interrupt(cause)

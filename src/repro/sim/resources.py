@@ -369,12 +369,17 @@ class BoundedQueue:
 
 
 class StoreGet(Event):
-    __slots__ = ()
+    __slots__ = ("_store",)
 
     def __init__(self, store: "Store"):
         super().__init__(store.env)
+        self._store = store
         store._getters.append(self)
         store._dispatch()
+
+    def _on_cancel(self) -> None:
+        if self in self._store._getters:
+            self._store._getters.remove(self)
 
 
 class FilterStoreGet(StoreGet):

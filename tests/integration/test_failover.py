@@ -91,6 +91,12 @@ def test_workload_outlasting_the_heal_still_passes_the_oracles(seed,
     assert {name: f for name, f in failures.items() if f} == {}
 
 
+def test_calm_detectors_compute_no_window_statistics(phi_work):
+    result = run_failover_scenario(seed=0)
+    assert result["failover_mttr_s"] == 4.321
+    assert 0 < phi_work.calls <= phi_work.bound
+
+
 def test_detection_and_mttr_count_from_the_scheduled_cut():
     # The cut moves to 90 s and the one-way heal to [180, 200): both
     # clocks start at the plan's first partition episode, and the

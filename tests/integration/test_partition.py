@@ -85,6 +85,15 @@ def test_recovery_survived_the_composition(result):
     assert result["job_makespan_s"] > 0
 
 
+def test_calm_detectors_compute_no_window_statistics(phi_work):
+    # Between heartbeats a calm key is judged by one float comparison:
+    # phi runs only where suspicion is possible, and verdicts stay put.
+    result = run_partition_scenario(seed=0)
+    assert result["minority_detection_latency_s"] == {
+        "composed-m0005": 1.0, "composed-m0006": 1.5, "composed-m0007": 1.5}
+    assert 0 < phi_work.calls <= phi_work.bound
+
+
 def test_detection_latency_counts_from_the_scheduled_cut():
     # The cut moves to 80 s: latencies are measured from the plan's first
     # partition episode, not from the classic run's 50 s.

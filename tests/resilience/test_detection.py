@@ -1,6 +1,11 @@
 """Heartbeats and phi-accrual failure detection."""
 
+import math
+from statistics import NormalDist
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.resilience import PHI_MAX, HeartbeatEmitter, PhiAccrualDetector
 from repro.sim import Environment, RandomStreams
@@ -143,6 +148,27 @@ def test_fault_free_emitters_never_suspected_across_seeds():
         assert det.suspects() == []
 
 
+def test_threshold_above_phi_max_is_rejected():
+    # phi is capped at PHI_MAX, so a higher threshold could never suspect.
+    env = Environment()
+    with pytest.raises(ValueError, match="PHI_MAX"):
+        PhiAccrualDetector(env, threshold=PHI_MAX + 1.0)
+    det = PhiAccrualDetector(env, threshold=PHI_MAX, poll_interval_s=1.0)
+    det.register("a", 1.0)
+    env.run(until=200.0)
+    assert det.suspects() == ["a"]
+
+
+def test_poll_records_simultaneous_onsets_in_str_order():
+    env = Environment()
+    det = PhiAccrualDetector(env, threshold=8.0, poll_interval_s=0.5)
+    for key in ("w10", 3, "w2", "b"):
+        det.register(key, 1.0)
+    env.run(until=60.0)
+    assert [key for key, _, _ in det.suspicion_log] == [3, "b", "w10", "w2"]
+    assert len({at for _, at, _ in det.suspicion_log}) == 1
+
+
 def test_validation_errors():
     env = Environment()
     with pytest.raises(ValueError):
@@ -261,3 +287,55 @@ class TestSuspectReason:
         assert det.false_suspicions == 1
         # The all-time reason ledger is never decremented.
         assert det.suspicions_by_reason["silence"] == 1
+
+
+#: One step of a detector's life: a heartbeat or a query after ``dt``.
+#: Queries may instead aim at the exact threshold crossing, offset by a
+#: relative ``nudge``, which is where a shortcut could go wrong.
+_STEPS = st.lists(
+    st.tuples(st.sampled_from(["beat", "query", "aim"]),
+              st.floats(min_value=1e-3, max_value=50.0),
+              st.sampled_from([-1e-5, -2e-6, -1e-6, -5e-7, -1e-9, -1e-12,
+                               0.0, 1e-12, 1e-9, 1e-6])),
+    min_size=1, max_size=40)
+
+
+@given(
+    steps=_STEPS,
+    expected_s=st.floats(min_value=1e-3, max_value=20.0),
+    window=st.integers(min_value=1, max_value=12),
+    min_std_s=st.floats(min_value=1e-3, max_value=5.0),
+    min_samples=st.integers(min_value=1, max_value=6),
+    threshold=st.one_of(
+        st.floats(min_value=0.0, max_value=PHI_MAX, exclude_min=True),
+        st.sampled_from([1e-9, 0.1, math.log10(2.0), 0.302, 1.0, 8.0,
+                         299.99, PHI_MAX])),
+)
+@settings(max_examples=300, deadline=None)
+def test_is_suspect_matches_brute_force_phi(steps, expected_s, window,
+                                            min_std_s, min_samples,
+                                            threshold):
+    """``is_suspect`` agrees with ``phi(key) >= threshold`` at every
+    query, onset times included, across the one-sample and prime-guard
+    branches and thresholds at or below log10 2."""
+    env = Environment()
+    det = PhiAccrualDetector(env, threshold=threshold, window=window,
+                             min_std_s=min_std_s, min_samples=min_samples)
+    det.register("k", expected_s)
+    onset = None
+    for kind, dt, nudge in steps:
+        at = env.now + dt
+        if kind == "aim":
+            mean, std = det._window_stats("k")
+            z = -NormalDist().inv_cdf(min(10.0 ** -threshold, 0.5))
+            aimed = det._last["k"] + (mean + z * std) * (1.0 + nudge)
+            at = aimed if aimed > env.now else at
+        env.run(until=at)
+        if kind == "beat":
+            det.heartbeat("k")
+            onset = None
+            continue
+        if onset is None and det.phi("k") >= threshold:
+            onset = env.now
+        assert det.is_suspect("k") == (onset is not None)
+        assert det.suspected_at("k") == onset

@@ -327,6 +327,41 @@ def test_filter_store_matches_predicate():
     assert store.items == [1, 3, 5]
 
 
+@pytest.mark.parametrize("kind", [Store, FilterStore, PriorityStore])
+def test_interrupted_store_get_does_not_swallow_the_next_item(kind):
+    # A waiter interrupted at t=1 withdraws its get: the item put at t=3
+    # goes to the live consumer that asked at t=2, not to the dead one.
+    env = Environment()
+    store = kind(env)
+    got = []
+
+    def waiter(env, store):
+        try:
+            yield store.get()
+        except Interrupt:
+            got.append(("interrupted", env.now))
+
+    def interrupter(env, victim):
+        yield env.timeout(1)
+        victim.interrupt()
+
+    def consumer(env, store):
+        yield env.timeout(2)
+        got.append(((yield store.get()), env.now))
+
+    def producer(env, store):
+        yield env.timeout(3)
+        yield store.put("A")
+
+    victim = env.process(waiter(env, store))
+    env.process(interrupter(env, victim))
+    env.process(consumer(env, store))
+    env.process(producer(env, store))
+    env.run()
+    assert got == [("interrupted", 1), ("A", 3)]
+    assert store._getters == [] and store.items == []
+
+
 def test_priority_store_yields_smallest():
     env = Environment()
     store = PriorityStore(env)
